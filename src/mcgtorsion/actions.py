@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ParseError
+from .errors import resolve_address
 
 
 @dataclass(frozen=True)
@@ -133,31 +133,23 @@ def builtin_spec(name: str) -> CyclicSymmetrySpec:
     order-2 symmetry with 2g+2 fixed points) and tau3:g=G (order 3
     with g+2 fixed points), both for g >= 1.
     """
-    fixed = {
-        "tau4": CyclicSymmetrySpec(4, 1, (1, 1, 2)),
-        "tau6": CyclicSymmetrySpec(6, 1, (1, 2, 3)),
-        "tau5": CyclicSymmetrySpec(5, 2, (1, 1, 1)),
-    }
-    if name in fixed:
-        return fixed[name]
-    head, sep, param = name.partition(":")
-    if head in ("tau2", "tau3"):
-        if not sep or not param.startswith("g="):
-            raise ParseError(f"symmetry {name!r}: expected {head}:g=G")
-        try:
-            g = int(param[2:])
-        except ValueError:
-            raise ParseError(
-                f"symmetry {name!r}: {param[2:]!r} is not an integer"
-            ) from None
-        if g < 1:
-            raise ValueError(f"symmetry {name!r}: needs genus >= 1")
-        if head == "tau2":
-            return CyclicSymmetrySpec(2, g, (1,) * (2 * g + 2))
-        return CyclicSymmetrySpec(3, g, (1,) * (g + 2))
-    raise ParseError(
-        f"unknown symmetry {name!r}; expected tau4, tau5, tau6, tau2:g=G, or tau3:g=G"
-    )
+    return resolve_address("symmetry", name, _SPECS)
+
+
+def _sphere_quotient_spec(order: int, fixed_points: int, g: int) -> CyclicSymmetrySpec:
+    """A rotation of genus g whose only exceptional orbits are fixed points."""
+    if g < 1:
+        raise ValueError(f"symmetry 'tau{order}:g={g}': needs genus >= 1")
+    return CyclicSymmetrySpec(order, g, (1,) * fixed_points)
+
+
+_SPECS = {
+    "tau4": lambda: CyclicSymmetrySpec(4, 1, (1, 1, 2)),
+    "tau5": lambda: CyclicSymmetrySpec(5, 2, (1, 1, 1)),
+    "tau6": lambda: CyclicSymmetrySpec(6, 1, (1, 2, 3)),
+    "tau2:g": lambda g: _sphere_quotient_spec(2, 2 * g + 2, g),
+    "tau3:g": lambda g: _sphere_quotient_spec(3, g + 2, g),
+}
 
 
 def realizable_boundary_count(spec: CyclicSymmetrySpec, r: int) -> bool:

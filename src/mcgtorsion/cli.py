@@ -23,7 +23,7 @@ from .actions import (
     z3_fixed_point_profiles,
 )
 from .braids import braid_permutation, braid_to_genus2_word, parse_braid
-from .errors import ParseError
+from .errors import ParseError, resolve_address
 from .homrep import (
     certify_periodic_order,
     check_relation_homology,
@@ -71,6 +71,11 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_order(args: argparse.Namespace) -> int:
     system = builtin_system(args.system)
+    if args.assert_periodic and system.surface.genus == 0:
+        raise ValueError(
+            f"system {args.system!r} has genus 0: its homology is trivial, "
+            "so no order can be certified"
+        )
     rep = homology_rep(system)
     for text in _word_texts(args):
         value = certify_periodic_order(parse_word(text, system), rep)
@@ -92,26 +97,13 @@ def _cmd_relcheck(args: argparse.Namespace) -> int:
     return 0
 
 
-def _builtin_presentation(name: str):
-    head, sep, param = name.partition(":")
-    if head == "gamma0r":
-        if not sep or not param.startswith("r="):
-            raise ParseError(f"presentation {name!r}: expected gamma0r:r=R")
-        try:
-            r = int(param[2:])
-        except ValueError:
-            raise ParseError(
-                f"presentation {name!r}: {param[2:]!r} is not an integer"
-            ) from None
-        return gamma_0r_presentation(r)
-    raise ParseError(f"unknown presentation {name!r}; expected gamma0r:r=R")
-
-
 def _cmd_abelianize(args: argparse.Namespace) -> int:
     if (args.file is None) == (args.builtin is None):
         args.parser.error("give either a presentation file or --builtin")
     if args.builtin is not None:
-        presentation = _builtin_presentation(args.builtin)
+        presentation = resolve_address(
+            "presentation", args.builtin, {"gamma0r:r": gamma_0r_presentation}
+        )
     else:
         presentation = parse_presentation(_read_text(args.file))
     group, images = abelianize(presentation)
@@ -195,15 +187,16 @@ def _cmd_theorem(args: argparse.Namespace) -> int:
             args.parser.error("--grid requires --check")
         gmax, rmax = args.grid
         failed = False
-        for g in (1, 2):
-            if g > gmax:
-                continue
+        for g in range(1, gmax + 1):
             for r in range(rmax + 1):
                 try:
                     report = cross_check(g, r)
                     print(f"g={g} r={r} index={report.index} ok")
                 except CrossCheckError as exc:
                     print(f"g={g} r={r} FAIL: {exc}")
+                    failed = True
+                except ValueError as exc:
+                    print(f"g={g} r={r} SKIP: {exc}")
                     failed = True
         return 1 if failed else 0
     if args.g is None or args.r is None:
@@ -222,9 +215,12 @@ def _grid_pair(text: str) -> tuple[int, int]:
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"expected gmax,rmax, got {text!r}")
     try:
-        return int(parts[0]), int(parts[1])
+        gmax, rmax = int(parts[0]), int(parts[1])
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected integers, got {text!r}") from None
+    if gmax < 1 or rmax < 0:
+        raise argparse.ArgumentTypeError(f"expected gmax >= 1 and rmax >= 0, got {text!r}")
+    return gmax, rmax
 
 
 def _add_word_source(p: argparse.ArgumentParser) -> None:

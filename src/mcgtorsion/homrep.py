@@ -7,9 +7,9 @@ convention (row i is the image of basis element i, row vectors multiply
 on the left), and words act rightmost letter first, so the matrix of
 g_1 ... g_k is M(g_k) * ... * M(g_1).
 
-Finite matrix order certifies the order of a periodic mapping class
-asserted to be periodic; without that assertion it is only the order of
-the homology image, a divisor of the true order.
+On genus >= 1, finite matrix order certifies the order of a mapping
+class asserted to be periodic; without that assertion it is only the
+order of the homology image, a divisor of the true order.
 """
 
 from __future__ import annotations
@@ -96,14 +96,6 @@ def _transvection(rep: HomologyRep, cls: tuple[int, ...], sign: int) -> IntMatri
     )
 
 
-def twist_matrix(curve_name: str, rep: HomologyRep) -> IntMatrix:
-    """Matrix of the positive twist along the named curve."""
-    curve = rep.system.curve(curve_name)
-    if curve.homology_class is None or not any(curve.homology_class):
-        return IntMatrix.identity(rep.dimension)
-    return _transvection(rep, curve.homology_class, 1)
-
-
 def word_matrix(w: Word, rep: HomologyRep) -> IntMatrix:
     """Matrix of a word, rightmost letter first: M(g_k) * ... * M(g_1)."""
     if w.system != rep.system:
@@ -122,8 +114,10 @@ def word_matrix(w: Word, rep: HomologyRep) -> IntMatrix:
 def certify_periodic_order(w: Word, rep: HomologyRep, cap: int | None = None) -> int | None:
     """Order of the homology matrix of w; None when infinite.
 
-    Exact order of the mapping class when the class is periodic; always
-    a divisor of the order otherwise.
+    On genus >= 1, the exact order of the mapping class when the class
+    is periodic; always a divisor of the order otherwise.  On genus 0
+    the homology is trivial and the answer is always 1, which certifies
+    nothing.
     """
     return matrix_order(word_matrix(w, rep), cap)
 

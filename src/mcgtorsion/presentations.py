@@ -269,13 +269,7 @@ def _two_hole_torus_system() -> CurveSystem:
         (0, 0, 0, 0),
         (0, 0, 0, 0),
     )
-    adjacency = (
-        (0, 1, 0, 0),
-        (1, 0, 0, 0),
-        (0, 0, 0, 0),
-        (0, 0, 0, 0),
-    )
-    return CurveSystem(Surface(1, 2), curves, pairing, adjacency)
+    return CurveSystem(Surface(1, 2), curves, pairing)
 
 
 def lantern_3hole_consequence() -> HalftwistParityCheck:

@@ -2,27 +2,23 @@
 
 A curve system records named curves or arcs on a compact orientable
 surface together with their first-homology classes (rows over a fixed
-symplectic basis), the algebraic intersection pairing, and a 0/1
-geometric adjacency matrix.  Three built-in systems cover the needs of
-the rest of the package: the square torus pair, the twist chain on a
-closed genus-g surface, and the arc row on a planar surface.
+symplectic basis) and the algebraic intersection pairing.  Three
+built-in systems cover the needs of the rest of the package: the square
+torus pair, the twist chain on a closed genus-g surface, and the arc
+row on a planar surface.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ParseError
+from .errors import resolve_address
 
 NONSEPARATING = "nonseparating"
 SEPARATING = "separating"
-BOUNDARY_PARALLEL = "boundary_parallel"
 ARC = "arc"
 
-CURVE_KINDS = (NONSEPARATING, SEPARATING, BOUNDARY_PARALLEL, ARC)
-
-# Kinds that never carry a homology class row.
-CLASSLESS_KINDS = (ARC, BOUNDARY_PARALLEL)
+CURVE_KINDS = (NONSEPARATING, SEPARATING, ARC)
 
 
 @dataclass(frozen=True)
@@ -55,32 +51,25 @@ class Curve:
         if self.kind not in CURVE_KINDS:
             raise ValueError(f"unknown curve kind {self.kind!r}, expected one of {CURVE_KINDS}")
 
-    @property
-    def is_classed(self) -> bool:
-        return self.homology_class is not None
-
 
 @dataclass(frozen=True)
 class CurveSystem:
     """Named curves with intersection data over one surface.
 
-    pairing and adjacency are full square matrices indexed by curve
-    position; pairing rows involving a classless curve are zero by
-    convention.  Construction checks shapes only; semantic invariants
-    are the job of validate(), so that deliberately broken systems can
-    be built and reported on.
+    pairing is a full square matrix indexed by curve position; rows
+    involving a classless curve are zero by convention.  Construction
+    checks shapes only; semantic invariants are the job of validate(),
+    so that deliberately broken systems can be built and reported on.
     """
 
     surface: Surface
     curves: tuple[Curve, ...]
     pairing: tuple[tuple[int, ...], ...]
-    adjacency: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
         n = len(self.curves)
-        for label, matrix in (("pairing", self.pairing), ("adjacency", self.adjacency)):
-            if len(matrix) != n or any(len(row) != n for row in matrix):
-                raise ValueError(f"{label} must be {n}x{n} to match the curve list")
+        if len(self.pairing) != n or any(len(row) != n for row in self.pairing):
+            raise ValueError(f"pairing must be {n}x{n} to match the curve list")
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -110,7 +99,6 @@ def torus_system() -> CurveSystem:
             Curve("B", NONSEPARATING, (0, 1)),
         ),
         pairing=((0, 1), (-1, 0)),
-        adjacency=((0, 1), (1, 0)),
     )
 
 
@@ -147,28 +135,22 @@ def chain_system(g: int) -> CurveSystem:
 
     curves = tuple(Curve(f"C{i + 1}", NONSEPARATING, classes[i]) for i in range(n))
     pairing = tuple(tuple(pair(classes[i], classes[j]) for j in range(n)) for i in range(n))
-    adjacency = tuple(
-        tuple(1 if abs(i - j) == 1 else 0 for j in range(n)) for i in range(n)
-    )
-    return CurveSystem(Surface(g, 0), curves, pairing, adjacency)
+    return CurveSystem(Surface(g, 0), curves, pairing)
 
 
 def planar_arc_system(r: int) -> CurveSystem:
     """The arc row a_1, ..., a_{r-1} on a planar surface with r boundary circles.
 
-    Arc A_i joins the i-th and (i+1)-st boundary circles; consecutive
-    arcs share an endpoint circle and are recorded as adjacent.  Arcs
-    carry no homology class, so the pairing is identically zero.
+    Arc A_i joins the i-th and (i+1)-st boundary circles, so consecutive
+    arcs share an endpoint circle.  Arcs carry no homology class, so the
+    pairing is identically zero.
     """
     if r < 3:
         raise ValueError("planar arc systems need at least 3 boundary circles")
     n = r - 1
     curves = tuple(Curve(f"A{i + 1}", ARC) for i in range(n))
     zero = tuple(tuple(0 for _ in range(n)) for _ in range(n))
-    adjacency = tuple(
-        tuple(1 if abs(i - j) == 1 else 0 for j in range(n)) for i in range(n)
-    )
-    return CurveSystem(Surface(0, r), curves, zero, adjacency)
+    return CurveSystem(Surface(0, r), curves, zero)
 
 
 def validate(system: CurveSystem) -> str | None:
@@ -183,7 +165,7 @@ def validate(system: CurveSystem) -> str | None:
         return f"duplicate curve name {dup!r}"
     width = 2 * system.surface.genus
     for c in system.curves:
-        if c.kind in CLASSLESS_KINDS:
+        if c.kind == ARC:
             if c.homology_class is not None:
                 return f"{c.name}: {c.kind} curves carry no homology class"
         elif c.kind == SEPARATING:
@@ -198,6 +180,7 @@ def validate(system: CurveSystem) -> str | None:
                 return f"{c.name}: homology class must have length {width}"
             if not any(c.homology_class):
                 return f"{c.name}: nonseparating curves have nonzero homology class"
+    classed = [c.homology_class is not None for c in system.curves]
     n = len(system.curves)
     for i in range(n):
         for j in range(n):
@@ -207,47 +190,17 @@ def validate(system: CurveSystem) -> str | None:
                     f"pairing is not antisymmetric at ({names[i]}, {names[j]}): "
                     f"{p} vs {q}"
                 )
-            a, b = system.adjacency[i][j], system.adjacency[j][i]
-            if a != b:
-                return f"adjacency is not symmetric at ({names[i]}, {names[j]})"
-            if a not in (0, 1):
-                return f"adjacency entries must be 0 or 1, got {a} at ({names[i]}, {names[j]})"
-            if i == j and a != 0:
-                return f"{names[i]}: adjacency diagonal must be zero"
-            ci, cj = system.curves[i], system.curves[j]
-            if (not ci.is_classed or not cj.is_classed) and p != 0:
+            if not (classed[i] and classed[j]) and p != 0:
                 return (
                     f"pairing must vanish at ({names[i]}, {names[j]}): "
                     "no algebraic intersection without homology classes"
-                )
-            if ci.is_classed and cj.is_classed and abs(p) > a:
-                return (
-                    f"|pairing| exceeds adjacency at ({names[i]}, {names[j]}): "
-                    f"|{p}| > {a}"
                 )
     return None
 
 
 def builtin_system(name: str) -> CurveSystem:
     """Resolves the CLI system addresses: torus, chain:g=G, planar:r=R."""
-    if name == "torus":
-        return torus_system()
-    head, sep, param = name.partition(":")
-    if head == "chain":
-        if not sep or not param.startswith("g="):
-            raise ParseError(f"system {name!r}: expected chain:g=G")
-        return chain_system(_int_param(name, param[2:]))
-    if head == "planar":
-        if not sep or not param.startswith("r="):
-            raise ParseError(f"system {name!r}: expected planar:r=R")
-        return planar_arc_system(_int_param(name, param[2:]))
-    raise ParseError(
-        f"unknown system {name!r}; expected torus, chain:g=G, or planar:r=R"
-    )
+    return resolve_address("system", name, _SYSTEMS)
 
 
-def _int_param(name: str, text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ParseError(f"system {name!r}: {text!r} is not an integer") from None
+_SYSTEMS = {"torus": torus_system, "chain:g": chain_system, "planar:r": planar_arc_system}

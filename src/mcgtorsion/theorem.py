@@ -19,7 +19,7 @@ from .actions import builtin_spec, realizable_boundary_count
 from .braids import braid_to_genus2_word, delta_star_word
 from .intlinalg import AbelianGroup
 from .surfaces import chain_system, torus_system
-from .words import abelian_image, parse_word
+from .words import abelian_image, halftwist_modulus, parse_word, twist_modulus
 
 # Torsion witness words: the palindromic involution word on the
 # genus-2 chain, its order-5 continuation, and the torus words of
@@ -83,19 +83,14 @@ def torsion_generation_verdict(g: int, r: int) -> Verdict:
 def h1_of_mcg(g: int, r: int) -> AbelianGroup:
     """First homology of the mapping class group, positive genus only.
 
-    The closed-surface part contributes order 12 at genus 1, 10 at
-    genus 2, and nothing from genus 3 on; boundary permutations
-    contribute one factor of order 2 once there are two circles to
-    swap.  Genus 0 is served by the presentations module instead.
+    One cyclic factor is the image of a nonseparating twist (order
+    words.twist_modulus), the other the image of a boundary-swapping
+    half-twist (order words.halftwist_modulus).  Genus 0 is served by
+    the presentations module instead.
     """
     if g < 1:
         raise ValueError("needs genus >= 1; abelianize a presentation for genus 0")
-    if r < 0:
-        raise ValueError(f"boundary count must be nonnegative, got {r}")
-    orders = [{1: 12, 2: 10}.get(g, 1)]
-    if r >= 2:
-        orders.append(2)
-    return AbelianGroup.from_orders(orders)
+    return AbelianGroup.from_orders([twist_modulus(g), halftwist_modulus(r)])
 
 
 def torsion_image_subgroup(

@@ -216,20 +216,23 @@ def twist_modulus(g: int) -> int:
     """Order of the image of one nonseparating twist: 12, 10, then 1 from genus 3 on."""
     if g < 1:
         raise ValueError("twist modulus needs genus >= 1")
-    return {1: 12, 2: 10}.get(g, 1)
+    return 12 if g == 1 else 10 if g == 2 else 1
+
+
+def halftwist_modulus(r: int) -> int:
+    """Order of the image of one boundary-swapping half-twist: 2 once r >= 2, else 1."""
+    if r < 0:
+        raise ValueError(f"boundary count must be nonnegative, got {r}")
+    return 2 if r >= 2 else 1
 
 
 def abelian_image(w: Word, g: int, r: int) -> AbelianImage:
-    """Signed letter counts of w in the abelianization for genus g, boundary r.
+    """Signed letter counts of w in the abelianization for genus g >= 1, boundary r.
 
-    Twists on separating or boundary-parallel curves count zero.
+    Twists on separating curves count zero.
     """
-    if g < 1:
-        raise ValueError("abelian images need genus >= 1")
-    if r < 0:
-        raise ValueError("boundary count must be nonnegative")
     tmod = twist_modulus(g)
-    hmod = 2 if r >= 2 else 1
+    hmod = halftwist_modulus(r)
     twist_sum = 0
     half_sum = 0
     for gen in w.letters:

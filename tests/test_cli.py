@@ -98,6 +98,16 @@ class TestOrder:
         assert code == 0
         assert out == "infinite (not a periodic class)\n"
 
+    def test_genus_zero_certificate_refused(self, capsys):
+        # The word cycles the five boundary circles, so its order is 5,
+        # but the capped sphere has trivial homology.
+        argv = ("order", "--system", "planar:r=5", "--word", "A1 A2 A3 A4")
+        code, out, err = run_cli(capsys, *argv, "--assert-periodic")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: system 'planar:r=5' has genus 0")
+        code, out, _ = run_cli(capsys, *argv)
+        assert (code, out) == (0, "1 (divisor bound)\n")
+
 
 class TestRelcheck:
     def test_braid_relation_on_torus(self, capsys):
@@ -312,11 +322,50 @@ class TestTheorem:
         assert lines[-1] == "g=2 r=9 index=5 ok"
         assert all(line.endswith("ok") for line in lines)
 
+    def test_grid_skips_uncovered_genera(self, capsys):
+        code, out, _ = run_cli(capsys, "theorem", "--grid", "4,2", "--check")
+        assert code == 1
+        lines = out.splitlines()
+        assert len(lines) == 12
+        assert [line.endswith(" ok") for line in lines] == [True] * 6 + [False] * 6
+        assert lines[6] == "g=3 r=0 SKIP: cross-check covers genus 1 and 2 only, got 3"
+        assert lines[-1] == "g=4 r=2 SKIP: cross-check covers genus 1 and 2 only, got 4"
+
+    @pytest.mark.parametrize("grid", ["2,-1", "0,3"])
+    def test_grid_bounds_are_usage_errors(self, capsys, grid):
+        assert run_cli_usage_error(capsys, "theorem", "--grid", grid, "--check") == 2
+
     def test_grid_requires_check(self, capsys):
         assert run_cli_usage_error(capsys, "theorem", "--grid", "2,3") == 2
 
     def test_missing_flags_is_usage_error(self, capsys):
         assert run_cli_usage_error(capsys, "theorem") == 2
+
+
+ADDRESS_ERRORS = [
+    (("eval", "--word", "A", "--system"), "sphere", "unknown system"),
+    (("eval", "--word", "A", "--system"), "chain", "expected chain:g=G"),
+    (("eval", "--word", "A", "--system"), "chain:r=2", "expected chain:g=G"),
+    (("eval", "--word", "A", "--system"), "chain:g=two", "is not an integer"),
+    (("eval", "--word", "A", "--system"), "chain:g=1_0", "is not an integer"),
+    (("eval", "--word", "A", "--system"), "chain:g= 2", "is not an integer"),
+    (("eval", "--word", "A", "--system"), "planar:r=\u0665", "is not an integer"),
+    (("admissible", "--r", "3", "--spec"), "tau7", "unknown symmetry"),
+    (("admissible", "--r", "3", "--spec"), "tau2", "expected tau2:g=G"),
+    (("admissible", "--r", "3", "--spec"), "tau3:g=+2", "is not an integer"),
+    (("census", "--r", "0..3", "--spec"), "tau2:g=1_0", "is not an integer"),
+    (("abelianize", "--builtin"), "gamma1r:r=6", "unknown presentation"),
+    (("abelianize", "--builtin"), "gamma0r", "expected gamma0r:r=R"),
+    (("abelianize", "--builtin"), "gamma0r:r=6.0", "is not an integer"),
+]
+
+
+@pytest.mark.parametrize("prefix, address, message", ADDRESS_ERRORS)
+def test_address_errors_are_domain_errors(capsys, prefix, address, message):
+    code, out, err = run_cli(capsys, *prefix, address)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
 
 
 class TestHarness:

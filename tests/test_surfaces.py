@@ -67,7 +67,6 @@ class TestTorusSystem:
         t = torus_system()
         assert t.names == ("A", "B")
         assert t.pairing == ((0, 1), (-1, 0))
-        assert t.adjacency == ((0, 1), (1, 0))
         assert t.curve("A").homology_class == (1, 0)
         assert validate(t) is None
 
@@ -89,7 +88,6 @@ class TestChainSystem:
         # Three curves: C1 and C3 disjoint, both meeting C2 once.
         cs = chain_system(1)
         assert cs.names == ("C1", "C2", "C3")
-        assert cs.adjacency == ((0, 1, 0), (1, 0, 1), (0, 1, 0))
         assert cs.pairing[0][2] == 0
         assert abs(cs.pairing[0][1]) == 1
         assert cs.curve("C3").homology_class == solve_chain_closure(1)
@@ -126,8 +124,6 @@ class TestPlanarArcSystem:
         assert p.surface == Surface(0, 5)
         assert p.names == ("A1", "A2", "A3", "A4")
         assert all(c.kind == ARC and c.homology_class is None for c in p.curves)
-        assert p.adjacency[0][1] == 1
-        assert p.adjacency[0][2] == 0
         assert validate(p) is None
 
     def test_minimum_boundary(self):
@@ -141,31 +137,20 @@ class TestPlanarArcSystem:
 
 
 class TestValidate:
-    def test_reports_pairing_exceeding_adjacency(self):
-        t = torus_system()
-        broken = CurveSystem(
-            t.surface, t.curves, ((0, 2), (-2, 0)), t.adjacency
-        )
-        message = validate(broken)
-        assert message is not None
-        assert "A" in message and "B" in message
-        assert "adjacency" in message
-
     def test_reports_asymmetric_pairing(self):
         t = torus_system()
-        broken = CurveSystem(t.surface, t.curves, ((0, 1), (1, 0)), t.adjacency)
+        broken = CurveSystem(t.surface, t.curves, ((0, 1), (1, 0)))
         assert "antisymmetric" in validate(broken)
 
     def test_reports_classless_pairing(self):
         p = planar_arc_system(3)
-        broken = CurveSystem(p.surface, p.curves, ((0, 1), (-1, 0)), p.adjacency)
+        broken = CurveSystem(p.surface, p.curves, ((0, 1), (-1, 0)))
         assert "without homology classes" in validate(broken)
 
     def test_reports_missing_class(self):
         broken = CurveSystem(
             Surface(1, 0),
             (Curve("x", NONSEPARATING, None),),
-            ((0,),),
             ((0,),),
         )
         assert "homology class" in validate(broken)
@@ -175,14 +160,13 @@ class TestValidate:
             Surface(1, 0),
             (Curve("s", SEPARATING, (1, 0)),),
             ((0,),),
-            ((0,),),
         )
         assert "separating" in validate(broken)
 
     def test_shape_mismatch_rejected_at_construction(self):
         t = torus_system()
         with pytest.raises(ValueError):
-            CurveSystem(t.surface, t.curves, ((0,),), t.adjacency)
+            CurveSystem(t.surface, t.curves, ((0,),))
 
 
 class TestBuiltinSystem:

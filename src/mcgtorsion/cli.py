@@ -23,7 +23,7 @@ from .actions import (
     z3_fixed_point_profiles,
 )
 from .braids import braid_permutation, braid_to_genus2_word, parse_braid
-from .errors import ParseError, resolve_address
+from .errors import ParseError, parse_int, resolve_address
 from .homrep import (
     certify_periodic_order,
     check_relation_homology,
@@ -135,8 +135,8 @@ def _parse_range(text: str) -> tuple[int, int]:
     if not sep:
         raise ParseError(f"range {text!r}: expected A..B")
     try:
-        lo, hi = int(head), int(tail)
-    except ValueError:
+        lo, hi = parse_int(head), parse_int(tail)
+    except ParseError:
         raise ParseError(f"range {text!r}: bounds must be integers") from None
     if lo > hi:
         raise ParseError(f"range {text!r}: lower bound exceeds upper bound")
@@ -215,12 +215,19 @@ def _grid_pair(text: str) -> tuple[int, int]:
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"expected gmax,rmax, got {text!r}")
     try:
-        gmax, rmax = int(parts[0]), int(parts[1])
-    except ValueError:
+        gmax, rmax = parse_int(parts[0]), parse_int(parts[1])
+    except ParseError:
         raise argparse.ArgumentTypeError(f"expected integers, got {text!r}") from None
     if gmax < 1 or rmax < 0:
         raise argparse.ArgumentTypeError(f"expected gmax >= 1 and rmax >= 0, got {text!r}")
     return gmax, rmax
+
+
+def _int_option(text: str) -> int:
+    try:
+        return parse_int(text)
+    except ParseError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def _add_word_source(p: argparse.ArgumentParser) -> None:
@@ -268,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("admissible", help="can a symmetry live with r boundary circles")
     p.add_argument("--spec", required=True, help="tau4, tau5, tau6, tau2:g=G, tau3:g=G")
-    p.add_argument("--r", required=True, type=int, help="boundary count")
+    p.add_argument("--r", required=True, type=_int_option, help="boundary count")
     p.set_defaults(handler=_cmd_admissible)
 
     p = sub.add_parser("census", help="admissibility table over a range of r")
@@ -277,26 +284,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_census)
 
     p = sub.add_parser("free-quotient", help="quotient genus of a free symmetry")
-    p.add_argument("--g", required=True, type=int, help="genus")
-    p.add_argument("--n", required=True, type=int, help="symmetry order")
-    p.add_argument("--b", required=True, type=int, help="boundary count")
+    p.add_argument("--g", required=True, type=_int_option, help="genus")
+    p.add_argument("--n", required=True, type=_int_option, help="symmetry order")
+    p.add_argument("--b", required=True, type=_int_option, help="boundary count")
     p.set_defaults(handler=_cmd_free_quotient)
 
     p = sub.add_parser("z3-profiles", help="order-3 fixed point profiles")
-    p.add_argument("--g", required=True, type=int, help="genus")
+    p.add_argument("--g", required=True, type=_int_option, help="genus")
     p.set_defaults(handler=_cmd_z3_profiles)
 
     p = sub.add_parser(
         "decompose-transposition",
         help="write a transposition as two involutions",
     )
-    p.add_argument("--n", required=True, type=int, help="number of points")
-    p.add_argument("--i", required=True, type=int, help="first swapped point")
-    p.add_argument("--j", required=True, type=int, help="second swapped point")
+    p.add_argument("--n", required=True, type=_int_option, help="number of points")
+    p.add_argument("--i", required=True, type=_int_option, help="first swapped point")
+    p.add_argument("--j", required=True, type=_int_option, help="second swapped point")
     p.set_defaults(handler=_cmd_decompose_transposition)
 
     p = sub.add_parser("braid-perm", help="permutation image of a braid word")
-    p.add_argument("--strands", required=True, type=int, help="strand count")
+    p.add_argument("--strands", required=True, type=_int_option, help="strand count")
     p.add_argument("--word", required=True, help='braid word, e.g. "s1 s2^-1"')
     p.set_defaults(handler=_cmd_braid_perm)
 
@@ -305,8 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_braid_lift)
 
     p = sub.add_parser("theorem", help="torsion-generation verdict and cross-check")
-    p.add_argument("--g", type=int, help="genus")
-    p.add_argument("--r", type=int, help="boundary count")
+    p.add_argument("--g", type=_int_option, help="genus")
+    p.add_argument("--r", type=_int_option, help="boundary count")
     p.add_argument(
         "--grid",
         type=_grid_pair,

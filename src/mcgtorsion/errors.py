@@ -16,6 +16,17 @@ class ParseError(ValueError):
     """
 
 
+def parse_int(text: str) -> int:
+    """Reads an integer: ASCII digits with an optional leading minus sign.
+
+    Unlike int(), rejects a plus sign, underscores, surrounding spaces
+    and non-ASCII digits, raising ParseError.
+    """
+    if not _INTEGER.fullmatch(text):
+        raise ParseError(f"{text!r} is not an integer")
+    return int(text)
+
+
 def _placeholder(entry: str) -> str:
     """'chain:g' reads 'chain:g=G'; a fixed name reads as itself."""
     _, sep, key = entry.partition(":")
@@ -42,7 +53,8 @@ def resolve_address(kind: str, address: str, builders: dict[str, Callable[..., T
     key = family.partition(":")[2] + "="
     if not param.startswith(key):
         raise ParseError(f"{kind} {address!r}: expected {_placeholder(family)}")
-    text = param[len(key):]
-    if not _INTEGER.fullmatch(text):
-        raise ParseError(f"{kind} {address!r}: {text!r} is not an integer")
-    return builders[family](int(text))
+    try:
+        value = parse_int(param[len(key):])
+    except ParseError as exc:
+        raise ParseError(f"{kind} {address!r}: {exc}") from None
+    return builders[family](value)

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import ParseError
+from .errors import ParseError, parse_int
 
 
 @dataclass(frozen=True)
@@ -522,8 +522,8 @@ def parse_matrix_text(text: str) -> IntMatrix:
     if len(head_tokens) != 2:
         raise ParseError(f"line {head_num}: header must be 'rows cols', got {head!r}")
     try:
-        rows, cols = (int(tok) for tok in head_tokens)
-    except ValueError:
+        rows, cols = (parse_int(tok) for tok in head_tokens)
+    except ParseError:
         raise ParseError(f"line {head_num}: header must be two integers, got {head!r}") from None
     if rows < 0 or cols < 0:
         raise ParseError(f"line {head_num}: dimensions must be nonnegative")
@@ -538,8 +538,8 @@ def parse_matrix_text(text: str) -> IntMatrix:
         row = []
         for tok in tokens:
             try:
-                row.append(int(tok))
-            except ValueError:
+                row.append(parse_int(tok))
+            except ParseError:
                 raise ParseError(f"line {num}: bad integer {tok!r}") from None
         data.append(row)
     matrix = IntMatrix.from_rows(data)

@@ -20,7 +20,7 @@ from .surfaces import ARC, NONSEPARATING, CurveSystem
 TWIST = "twist"
 HALFTWIST = "halftwist"
 
-_TOKEN = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)(?:\^(-?\d+))?$")
+_TOKEN = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)(?:\^(-?[0-9]+))?$")
 
 
 @dataclass(frozen=True)

@@ -71,6 +71,29 @@ class TestEval:
         )
         assert code == 2
 
+    def test_genus_forty_matches_dense_transvections(self, capsys):
+        # T_c acts on row vectors by x -> x + s <x, c> c with <x, c> = x J c^T;
+        # the word C1 C81^-1 is M(C81^-1) * M(C1).  C81 is the chain
+        # closure -(e_1 + e_3 + ... + e_79).
+        n = 80
+        form = [[(j == i + 1) - (i == j + 1) for j in range(n)] for i in range(n)]
+
+        def transvection(cls, sign):
+            jc = [sum(form[i][k] * cls[k] for k in range(n)) for i in range(n)]
+            return [[(i == j) + sign * jc[i] * cls[j] for j in range(n)] for i in range(n)]
+
+        def product(x, y):
+            return [[sum(x[i][k] * y[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+        c1 = [int(j == 0) for j in range(n)]
+        c81 = [-(j % 2 == 0) for j in range(n)]
+        expected = product(transvection(c81, -1), transvection(c1, 1))
+        code, out, err = run_cli(
+            capsys, "eval", "--system", "chain:g=40", "--word", "C1 C81^-1"
+        )
+        assert (code, err) == (0, "")
+        assert out == "".join(" ".join(map(str, row)) + "\n" for row in expected)
+
 
 class TestOrder:
     def test_certified(self, capsys):
@@ -365,6 +388,43 @@ def test_address_errors_are_domain_errors(capsys, prefix, address, message):
     code, out, err = run_cli(capsys, *prefix, address)
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+INTEGER_GRAMMAR = [
+    (("eval", "--system", "torus", "--word", "A^\u0663"), None, 1, "malformed token"),
+    (("census", "--spec", "tau5", "--r", "1_0..1_2"), None, 1, "bounds must be integers"),
+    (("census", "--spec", "tau5", "--r", " 1..2"), None, 1, "bounds must be integers"),
+    (("census", "--spec", "tau5", "--r", "+1..2"), None, 1, "bounds must be integers"),
+    (("snf",), "2 2\n1 0\n0 1_0\n", 1, "bad integer '1_0'"),
+    (("snf",), "2 \u0662\n1 0\n0 1\n", 1, "header must be two integers"),
+    (("theorem", "--grid", "1,1_0", "--check"), None, 2, "expected integers"),
+    (("theorem", "--grid", "1, 2", "--check"), None, 2, "expected integers"),
+    (("admissible", "--spec", "tau5", "--r", "\u0663"), None, 2, "invalid int value"),
+    (("admissible", "--spec", "tau5", "--r", "+3"), None, 2, "invalid int value"),
+    (("z3-profiles", "--g", " 5"), None, 2, "invalid int value"),
+    (("free-quotient", "--g", "2", "--n", "5", "--b", "1_0"), None, 2, "invalid int value"),
+]
+
+
+@pytest.mark.parametrize("argv, matrix_text, code, message", INTEGER_GRAMMAR)
+def test_integers_are_ascii_digits(capsys, tmp_path, argv, matrix_text, code, message):
+    # Integers are ASCII digits with an optional leading minus sign.
+    # Words, ranges and files fail with error: and exit 1; integer
+    # options, which argparse reads, are usage errors (exit 2).
+    if matrix_text is not None:
+        path = tmp_path / "m.txt"
+        path.write_text(matrix_text, encoding="utf-8")
+        argv += (str(path),)
+    if code == 1:
+        got, out, err = run_cli(capsys, *argv)
+        assert (got, out) == (1, "")
+        assert err.startswith("error: ")
+    else:
+        with pytest.raises(SystemExit) as info:
+            main(list(argv))
+        assert info.value.code == 2
+        err = capsys.readouterr().err
     assert message in err
 
 

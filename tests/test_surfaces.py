@@ -109,6 +109,22 @@ class TestChainSystem:
             assert form.transpose() == -form
             assert form.det() == 1
 
+    def test_pairing_matches_dense_form(self):
+        # x J y^T over all index pairs, J with +1 on the superdiagonal.
+        for g in range(1, 13):
+            cs = chain_system(g)
+            n = 2 * g
+            form = [[(j == i + 1) - (i == j + 1) for j in range(n)] for i in range(n)]
+            classes = [c.homology_class for c in cs.curves]
+            dense = tuple(
+                tuple(
+                    sum(x[a] * form[a][b] * y[b] for a in range(n) for b in range(n))
+                    for y in classes
+                )
+                for x in classes
+            )
+            assert cs.pairing == dense
+
     def test_validates(self):
         for g in range(1, 11):
             assert validate(chain_system(g)) is None

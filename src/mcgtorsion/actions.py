@@ -4,10 +4,10 @@ A CyclicSymmetrySpec records what a model rotation of a surface does
 to points: its order, the genus it acts on, and the sizes of its
 exceptional orbits.  From that the module answers which boundary
 counts the symmetry survives on, solves the Euler-characteristic
-equation for free quotients, enumerates order-3 fixed-point profiles,
-and decides involution existence.  Permutations of boundary labels are
-handled by a small exact Permutation type, including the expression of
-a transposition as a product of two involutions with few fixed points.
+equation for free quotients and enumerates order-3 fixed-point
+profiles.  Permutations of boundary labels are handled by a small exact
+Permutation type, including the expression of a transposition as a
+product of two involutions with few fixed points.
 """
 
 from __future__ import annotations
@@ -59,19 +59,9 @@ class Permutation:
             raise ValueError("cannot compose permutations of different sizes")
         return Permutation(tuple(self.images[v - 1] for v in other.images))
 
-    def inverse(self) -> "Permutation":
-        images = [0] * self.size
-        for k, v in enumerate(self.images, start=1):
-            images[v - 1] = k
-        return Permutation(tuple(images))
-
     @property
     def is_identity(self) -> bool:
         return all(v == k for k, v in enumerate(self.images, start=1))
-
-    @property
-    def is_involution(self) -> bool:
-        return self.compose(self).is_identity
 
     def fixed_points(self) -> tuple[int, ...]:
         return tuple(k for k, v in enumerate(self.images, start=1) if v == k)
@@ -207,19 +197,6 @@ def z3_fixed_point_profiles(g: int) -> tuple[tuple[int, int], ...]:
         out.append((quotient, t))
         quotient += 1
     return tuple(out)
-
-
-def involution_exists(g: int, r: int, k: int) -> bool:
-    """Whether a positive-genus surface with r boundary circles admits an
-    involution keeping exactly k of them invariant.
-
-    The k invariant circles need k <= 3 special positions; the other
-    r - k circles come in swapped pairs, so r - k must be nonnegative
-    and even.
-    """
-    if g < 1:
-        raise ValueError(f"needs positive genus, got {g}")
-    return 0 <= k <= 3 and r - k >= 0 and (r - k) % 2 == 0
 
 
 def transposition_as_two_involutions(

@@ -52,12 +52,6 @@ class BraidWord:
             raise ValueError("cannot concatenate words on different strand counts")
         return BraidWord(self.strands, self.letters + other.letters)
 
-    def inverse(self) -> "BraidWord":
-        return BraidWord(
-            self.strands,
-            tuple((index, -sign) for index, sign in reversed(self.letters)),
-        )
-
     def __str__(self) -> str:
         return " ".join(
             f"s{index}" if sign == 1 else f"s{index}^-1"

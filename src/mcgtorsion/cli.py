@@ -199,6 +199,8 @@ def _cmd_theorem(args: argparse.Namespace) -> int:
                     print(f"g={g} r={r} SKIP: {exc}")
                     failed = True
         return 1 if failed else 0
+    if args.check:
+        args.parser.error("--check requires --grid")
     if args.g is None or args.r is None:
         args.parser.error("--g and --r are required without --grid")
     verdict = torsion_generation_verdict(args.g, args.r)

@@ -57,10 +57,6 @@ class IntMatrix:
         return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, (0,) * (rows * cols))
-
-    @classmethod
     def diagonal(cls, values: "list | tuple") -> "IntMatrix":
         vals = tuple(values)
         n = len(vals)
@@ -249,10 +245,6 @@ class IntPolynomial:
     def degree(self) -> int:
         return -1 if self.is_zero else len(self.coefficients) - 1
 
-    @property
-    def is_monic(self) -> bool:
-        return not self.is_zero and self.coefficients[-1] == 1
-
     def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
         a, b = self.coefficients, other.coefficients
         if len(a) < len(b):
@@ -289,12 +281,6 @@ class IntPolynomial:
                     rem[top - ddeg + k] -= q * c
         return IntPolynomial(tuple(quot)), IntPolynomial(tuple(rem))
 
-    def evaluate(self, x: int) -> int:
-        value = 0
-        for c in reversed(self.coefficients):
-            value = value * x + c
-        return value
-
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
@@ -315,39 +301,31 @@ class IntPolynomial:
         return " ".join(parts)
 
 
-def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Diagonalizes m over the integers.
+def _diagonalize(rows: list[list[int]], nr: int, nc: int) -> list[int]:
+    """Reduces the top-left nr x nc block of rows to Smith form, in place.
 
-    Returns:
-        (d, u, v) with u * m * v == d, u and v unimodular, d diagonal
-        with nonnegative entries forming a divisibility chain
-        d_1 | d_2 | ...
+    Row operations act on the whole of rows 0..nr-1 and column
+    operations on columns 0..nc-1 of every row, so a caller records U
+    by appending I_nr to the right of the block and V by appending
+    I_nc below it.  Returns the min(nr, nc) diagonal entries:
+    nonnegative, a divisibility chain, zeros trailing.
     """
-    nr, nc = m.rows, m.cols
-    a = m.to_rows()
-    u = IntMatrix.identity(nr).to_rows()
-    v = IntMatrix.identity(nc).to_rows()
+    a = rows
 
     def swap_rows(i: int, j: int) -> None:
         a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
 
     def add_row(i: int, j: int, q: int) -> None:
         # row i += q * row j
         a[i] = [x + q * y for x, y in zip(a[i], a[j])]
-        u[i] = [x + q * y for x, y in zip(u[i], u[j])]
 
     def swap_cols(i: int, j: int) -> None:
         for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
             row[i], row[j] = row[j], row[i]
 
     def add_col(i: int, j: int, q: int) -> None:
         # col i += q * col j
         for row in a:
-            row[i] += q * row[j]
-        for row in v:
             row[i] += q * row[j]
 
     for t in range(min(nr, nc)):
@@ -401,22 +379,40 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             add_row(t, stray[0], 1)
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
+    return [a[i][i] for i in range(min(nr, nc))]
 
-    def assemble(rows_data: list[list[int]], r: int, c: int) -> IntMatrix:
-        return IntMatrix(r, c, tuple(x for row in rows_data for x in row))
 
-    return (assemble(a, nr, nc), assemble(u, nr, nr), assemble(v, nc, nc))
+def _diagonal_cokernel(diag: list[int], cols: int) -> tuple[AbelianGroup, list[int]]:
+    """The cokernel of a Smith diagonal of a matrix with cols columns.
+
+    Also returns the columns the invariant factors come from, in order:
+    those whose diagonal entry is not 1, where missing entries are 0.
+    """
+    padded = diag + [0] * (cols - len(diag))
+    keep = [j for j, x in enumerate(padded) if x != 1]
+    return AbelianGroup(tuple(padded[j] for j in keep)), keep
+
+
+def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """Diagonalizes m over the integers.
+
+    Returns:
+        (d, u, v) with u * m * v == d, u and v unimodular, d diagonal
+        with nonnegative entries forming a divisibility chain
+        d_1 | d_2 | ...
+    """
+    nr, nc = m.rows, m.cols
+    rows = [a + u for a, u in zip(m.to_rows(), IntMatrix.identity(nr).to_rows())]
+    rows += IntMatrix.identity(nc).to_rows()
+    _diagonalize(rows, nr, nc)
+    d = IntMatrix(nr, nc, tuple(x for row in rows[:nr] for x in row[:nc]))
+    u = IntMatrix.from_rows([row[nc:] for row in rows[:nr]])
+    return d, u, IntMatrix.from_rows(rows[nr:])
 
 
 def cokernel(m: IntMatrix) -> AbelianGroup:
     """The quotient of Z^cols by the row span of m, in invariant-factor form."""
-    d, _, _ = smith_normal_form(m)
-    k = min(m.rows, m.cols)
-    diag = [d[i, i] for i in range(k)]
-    torsion = tuple(x for x in diag if x not in (0, 1))
-    free = (m.cols - k) + sum(1 for x in diag if x == 0)
-    return AbelianGroup(torsion + (0,) * free)
+    return _diagonal_cokernel(_diagonalize(m.to_rows(), m.rows, m.cols), m.cols)[0]
 
 
 def _euler_phi(n: int) -> int:

@@ -5,9 +5,8 @@ abelianization is read off the Smith normal form of the relator
 exponent matrix, together with the image of each generator in
 invariant-factor coordinates.  The module also builds the half-twist
 presentation of the mapping class group of a sphere with r marked
-points, turns power relations on twist words into cyclic-group
-constraints, and packages the parity consequence for a half-twist
-swapping two boundary circles.
+points and turns power relations on twist words into cyclic-group
+constraints.
 """
 
 from __future__ import annotations
@@ -16,16 +15,14 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import ParseError
-from .intlinalg import AbelianGroup, IntMatrix, cokernel, smith_normal_form
-from .surfaces import (
-    ARC,
-    NONSEPARATING,
-    SEPARATING,
-    Curve,
-    CurveSystem,
-    Surface,
+from .intlinalg import (
+    AbelianGroup,
+    IntMatrix,
+    _diagonal_cokernel,
+    _diagonalize,
+    cokernel,
 )
-from .words import AbelianImage, abelian_image, parse_signed_letters, parse_word
+from .words import parse_signed_letters
 
 # A relator is a free-group word over the generators, stored as
 # (generator name, +1 or -1) letters.
@@ -135,14 +132,12 @@ def abelianize(p: Presentation) -> tuple[AbelianGroup, tuple[tuple[int, ...], ..
     is finite.
     """
     m = p.exponent_matrix()
-    d, _, v = smith_normal_form(m)
-    k = min(m.rows, m.cols)
-    diag = [d[i, i] for i in range(k)] + [0] * (m.cols - k)
-    keep = [i for i, x in enumerate(diag) if x != 1]
-    group = AbelianGroup(tuple(diag[i] for i in keep))
+    rows = m.to_rows() + IntMatrix.identity(m.cols).to_rows()
+    group, keep = _diagonal_cokernel(_diagonalize(rows, m.rows, m.cols), m.cols)
+    factors = group.invariant_factors
     images = tuple(
-        tuple(v[j, i] % diag[i] if diag[i] > 0 else v[j, i] for i in keep)
-        for j in range(len(p.generators))
+        tuple(v[i] % d if d > 0 else v[i] for i, d in zip(keep, factors))
+        for v in rows[m.rows :]
     )
     return group, images
 
@@ -212,82 +207,3 @@ def torsion_order_constraints(cs: Iterable[TorsionRelation]) -> AbelianGroup:
     if not products:
         raise ValueError("need at least one torsion relation")
     return cokernel(IntMatrix(len(products), 1, tuple(products)))
-
-
-@dataclass(frozen=True)
-class HalftwistParityCheck:
-    """Abelianization bookkeeping for a boundary-swapping half-twist.
-
-    The half-twist squares to the twist on the separating curve that
-    encloses both swapped boundary circles, and separating twists die
-    in the abelianization; the record holds the three computed images
-    so the conclusion can be checked rather than asserted.
-    """
-
-    system: CurveSystem
-    separating_twist_image: AbelianImage
-    halftwist_image: AbelianImage
-    halftwist_square_image: AbelianImage
-
-    @property
-    def separating_twist_vanishes(self) -> bool:
-        return self.separating_twist_image.is_zero
-
-    @property
-    def square_vanishes(self) -> bool:
-        return self.halftwist_square_image.is_zero
-
-    @property
-    def halftwist_order_divides_two(self) -> bool:
-        return self.halftwist_image.scaled(2).is_zero
-
-    @property
-    def holds(self) -> bool:
-        return (
-            self.separating_twist_vanishes
-            and self.square_vanishes
-            and self.halftwist_order_divides_two
-        )
-
-
-def _two_hole_torus_system() -> CurveSystem:
-    """Genus-1 surface with two boundary circles and a swapping arc.
-
-    S separates off the three-holed sphere containing both boundary
-    circles; T is the arc joining them inside it; A, B form the
-    homology basis of the capped-off torus.
-    """
-    curves = (
-        Curve("A", NONSEPARATING, (1, 0)),
-        Curve("B", NONSEPARATING, (0, 1)),
-        Curve("S", SEPARATING, (0, 0)),
-        Curve("T", ARC),
-    )
-    pairing = (
-        (0, 1, 0, 0),
-        (-1, 0, 0, 0),
-        (0, 0, 0, 0),
-        (0, 0, 0, 0),
-    )
-    return CurveSystem(Surface(1, 2), curves, pairing)
-
-
-def lantern_3hole_consequence() -> HalftwistParityCheck:
-    """Computes why a boundary-swapping half-twist has order dividing 2
-    in the abelianization.
-
-    Works over a genus-1 surface with two boundary circles: the twist
-    on the curve S separating off both circles maps to zero, the
-    half-twist T on the joining arc squares to that twist, so the
-    image of T kills 2.
-    """
-    system = _two_hole_torus_system()
-    g, r = system.surface.genus, system.surface.boundary
-    sep = parse_word("S", system)
-    half = parse_word("T", system)
-    return HalftwistParityCheck(
-        system=system,
-        separating_twist_image=abelian_image(sep, g, r),
-        halftwist_image=abelian_image(half, g, r),
-        halftwist_square_image=abelian_image(half * half, g, r),
-    )

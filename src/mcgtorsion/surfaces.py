@@ -32,10 +32,6 @@ class Surface:
         if self.genus < 0 or self.boundary < 0:
             raise ValueError("genus and boundary count must be nonnegative")
 
-    @property
-    def euler_characteristic(self) -> int:
-        return 2 - 2 * self.genus - self.boundary
-
 
 @dataclass(frozen=True)
 class Curve:

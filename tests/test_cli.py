@@ -230,6 +230,31 @@ class TestSnf:
         assert abs(u.det()) == 1 and abs(v.det()) == 1
         assert d[0, 0] == 1 and d[1, 1] == 3
 
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            (
+                "2 3\n1 2 3\n4 5 6\n",
+                "D:\n1 0 0\n0 3 0\n"
+                "U:\n1 0\n4 -1\n"
+                "V:\n1 -2 1\n0 1 -2\n0 0 1\n",
+            ),
+            (
+                "4 3\n2 4 4\n0 0 0\n-6 6 12\n10 -4 -16\n",
+                "D:\n2 0 0\n0 6 0\n0 0 12\n0 0 0\n"
+                "U:\n1 0 0 0\n2 0 -1 -1\n3 0 -4 -3\n0 1 0 0\n"
+                "V:\n1 -2 2\n0 1 -2\n0 0 1\n",
+            ),
+        ],
+        ids=["2x3", "4x3-zero-row"],
+    )
+    def test_exact_transforms(self, capsys, tmp_path, text, expected):
+        # U and V are not unique; these are the ones the elimination's
+        # pivot and operation order produce, pinned byte for byte.
+        path = tmp_path / "m.txt"
+        path.write_text(text, encoding="utf-8")
+        assert run_cli(capsys, "snf", str(path)) == (0, expected, "")
+
     def test_missing_file_is_domain_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "snf", str(tmp_path / "absent.txt"))
         assert code == 1
@@ -360,6 +385,15 @@ class TestTheorem:
 
     def test_grid_requires_check(self, capsys):
         assert run_cli_usage_error(capsys, "theorem", "--grid", "2,3") == 2
+
+    @pytest.mark.parametrize("g, r", [("2", "9"), ("7", "3")])
+    def test_check_requires_grid(self, capsys, g, r):
+        with pytest.raises(SystemExit) as info:
+            main(["theorem", "--g", g, "--r", r, "--check"])
+        assert info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--check requires --grid" in err
 
     def test_missing_flags_is_usage_error(self, capsys):
         assert run_cli_usage_error(capsys, "theorem") == 2

@@ -1,6 +1,7 @@
 """Tests for presentations and their abelian quotients."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -8,19 +9,16 @@ from math import gcd
 import pytest
 
 from mcgtorsion.errors import ParseError
-from mcgtorsion.intlinalg import AbelianGroup, IntMatrix
+from mcgtorsion.intlinalg import AbelianGroup, IntMatrix, cokernel
 from mcgtorsion.presentations import (
-    HalftwistParityCheck,
     Presentation,
     TorsionRelation,
     abelianize,
     gamma_0r_presentation,
-    lantern_3hole_consequence,
     parse_presentation,
     parse_relator,
     torsion_order_constraints,
 )
-from mcgtorsion.surfaces import validate
 
 
 def minor_gcd_invariant_factors(m: IntMatrix) -> tuple[int, ...]:
@@ -181,11 +179,29 @@ class TestAbelianize:
         group, images = abelianize(Presentation(("x", "y"), ()))
         assert group == AbelianGroup((0, 0))
         assert images == ((1, 0), (0, 1))
+        group, images = abelianize(Presentation(("x",), ()))
+        assert group == AbelianGroup((0,))
+        assert images == ((1,),)
 
     def test_trivial_quotient_has_empty_images(self):
         group, images = abelianize(Presentation(("x",), ((("x", 1),),)))
         assert group.is_trivial
         assert images == ((),)
+
+    def test_memory_stays_linear_in_relators(self):
+        # gamma0r r=40 has 743 relators on 39 generators.  Neither call
+        # needs the 743 x 743 row transform U, which alone takes about
+        # 8 MB; the column transform and the diagonal fit well under 2 MB.
+        p = gamma_0r_presentation(40)
+        m = p.exponent_matrix()
+        for compute in (lambda: abelianize(p), lambda: cokernel(m)):
+            tracemalloc.start()
+            try:
+                compute()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * 1024 * 1024
 
     def test_images_satisfy_relators_on_random_presentations(self):
         rng = random.Random(20260822)
@@ -337,21 +353,3 @@ class TestTorsionOrderConstraints:
             group = torsion_order_constraints(relations)
             for c in relations:
                 assert (c.order * c.exponent_sum) % group.order() == 0
-
-
-class TestHalftwistParity:
-    def test_consequence_holds(self):
-        record = lantern_3hole_consequence()
-        assert isinstance(record, HalftwistParityCheck)
-        assert record.holds
-
-    def test_system_is_well_formed(self):
-        assert validate(lantern_3hole_consequence().system) is None
-
-    def test_component_values(self):
-        record = lantern_3hole_consequence()
-        assert record.separating_twist_image.components == (0, 0)
-        assert record.halftwist_image.components == (0, 1)
-        assert record.halftwist_square_image.components == (0, 0)
-        assert record.halftwist_image.twist_modulus == 12
-        assert record.halftwist_image.halftwist_modulus == 2

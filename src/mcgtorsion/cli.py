@@ -30,7 +30,7 @@ from .homrep import (
     homology_rep,
     word_matrix,
 )
-from .intlinalg import IntMatrix, parse_matrix_text, smith_normal_form
+from .intlinalg import parse_matrix_text, smith_normal_form
 from .presentations import (
     abelianize,
     gamma_0r_presentation,
@@ -39,12 +39,6 @@ from .presentations import (
 from .surfaces import builtin_system
 from .theorem import CrossCheckError, cross_check, torsion_generation_verdict
 from .words import parse_word
-
-
-def _matrix_lines(m: IntMatrix) -> list[str]:
-    return [
-        " ".join(str(m[i, j]) for j in range(m.cols)) for i in range(m.rows)
-    ]
 
 
 def _read_text(path: str) -> str:
@@ -64,8 +58,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     for position, text in enumerate(_word_texts(args)):
         if position:
             print()
-        for line in _matrix_lines(word_matrix(parse_word(text, system), rep)):
-            print(line)
+        m = word_matrix(parse_word(text, system), rep)
+        if m.rows:
+            print(m)
     return 0
 
 
@@ -118,8 +113,8 @@ def _cmd_snf(args: argparse.Namespace) -> int:
     d, u, v = smith_normal_form(m)
     for label, matrix in (("D", d), ("U", u), ("V", v)):
         print(f"{label}:")
-        for line in _matrix_lines(matrix):
-            print(line)
+        if matrix.rows:
+            print(matrix)
     return 0
 
 

@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .intlinalg import IntMatrix, matrix_order
-from .surfaces import CurveSystem, class_pairings
-from .words import HALFTWIST, Word
+from .surfaces import CurveSystem
+from .words import Word
 
 
 @dataclass(frozen=True)
@@ -32,58 +32,9 @@ class HomologyRep:
     pairing: IntMatrix
     dimension: int
 
-    @classmethod
-    def from_system(cls, system: CurveSystem) -> "HomologyRep":
-        """Extracts the basis (curves whose classes are unit rows) and its form.
-
-        Checks, in this order: exactly one curve per unit row; the form
-        the declared pairing puts on the basis is antisymmetric, then
-        unimodular; every classed curve has a class of length 2 * genus;
-        and every declared pairing between classed curves equals the one
-        the classes and the form give, the first mismatch in row-major
-        order over curve pairs being reported.  Raises ValueError on the
-        first failure.  The classes are looked up in a dict and paired
-        through class_pairings, so for the chain system the checks cost
-        O(g^2) products besides one 2g x 2g determinant.
-        """
-        n = 2 * system.surface.genus
-        classed = [k for k, c in enumerate(system.curves) if c.homology_class is not None]
-        holders: dict[tuple[int, ...], list[int]] = {}
-        for k in classed:
-            holders.setdefault(system.curves[k].homology_class, []).append(k)
-        basis: list[int] = []
-        for i in range(n):
-            hits = holders.get(tuple(1 if j == i else 0 for j in range(n)), [])
-            if len(hits) != 1:
-                raise ValueError(
-                    f"system needs exactly one curve with class = unit row {i + 1}, "
-                    f"found {len(hits)}"
-                )
-            basis.append(hits[0])
-        rows = [[system.pairing[bi][bj] for bj in basis] for bi in basis]
-        form = IntMatrix.from_rows(rows) if n else IntMatrix(0, 0, ())
-        if form.transpose() != -form:
-            raise ValueError("intersection form on the basis is not antisymmetric")
-        if n and not form.is_unimodular():
-            raise ValueError("intersection form on the basis is not unimodular")
-        classes = [system.curves[k].homology_class for k in classed]
-        for k, c in zip(classed, classes):
-            if len(c) != n:
-                raise ValueError(f"{system.curves[k].name}: homology class must have length {n}")
-        derived = class_pairings(classes, rows)
-        for i, row in zip(classed, derived):
-            for j, value in zip(classed, row):
-                if value != system.pairing[i][j]:
-                    raise ValueError(
-                        f"declared pairing at ({system.curves[i].name}, "
-                        f"{system.curves[j].name}) is {system.pairing[i][j]} "
-                        f"but the classes give {value}"
-                    )
-        return cls(system, form, n)
-
 
 def homology_rep(system: CurveSystem) -> HomologyRep:
-    return HomologyRep.from_system(system)
+    return HomologyRep(system, IntMatrix.from_rows(system.form), 2 * system.surface.genus)
 
 
 def _transvection(rep: HomologyRep, cls: tuple[int, ...], sign: int) -> IntMatrix:
@@ -107,8 +58,6 @@ def word_matrix(w: Word, rep: HomologyRep) -> IntMatrix:
         raise ValueError("word and representation use different systems")
     result = IntMatrix.identity(rep.dimension)
     for g in w.letters:
-        if g.kind == HALFTWIST:
-            continue
         curve = rep.system.curve(g.curve_name)
         if curve.homology_class is None or not any(curve.homology_class):
             continue

@@ -2,10 +2,10 @@
 
 A curve system records named curves or arcs on a compact orientable
 surface together with their first-homology classes (rows over a fixed
-symplectic basis) and the algebraic intersection pairing.  Three
-built-in systems cover the needs of the rest of the package: the square
-torus pair, the twist chain on a closed genus-g surface, and the arc
-row on a planar surface.
+basis) and the intersection form J on that basis, so that two classes
+x, y pair to x J y^T.  Three built-in systems cover the needs of the
+rest of the package: the square torus pair, the twist chain on a closed
+genus-g surface, and the arc row on a planar surface.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import resolve_address
+from .intlinalg import IntMatrix
 
 NONSEPARATING = "nonseparating"
 SEPARATING = "separating"
@@ -50,22 +51,46 @@ class Curve:
 
 @dataclass(frozen=True)
 class CurveSystem:
-    """Named curves with intersection data over one surface.
+    """Named curves over one surface, with the intersection form.
 
-    pairing is a full square matrix indexed by curve position; rows
-    involving a classless curve are zero by convention.  Construction
-    checks shapes only; semantic invariants are the job of validate(),
-    so that deliberately broken systems can be built and reported on.
+    form is the 2g x 2g intersection form J on the coordinates the
+    homology classes are written in, so two classes pair to x J y^T.
+    Construction checks every invariant and raises ValueError on the
+    first failure, in this order: the form is 2g x 2g, antisymmetric,
+    then unimodular; the curve names are distinct; then, curve by
+    curve, arcs carry no class, classes have length 2g, separating
+    classes are zero, and nonseparating curves have a nonzero class.
     """
 
     surface: Surface
     curves: tuple[Curve, ...]
-    pairing: tuple[tuple[int, ...], ...]
+    form: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        n = len(self.curves)
-        if len(self.pairing) != n or any(len(row) != n for row in self.pairing):
-            raise ValueError(f"pairing must be {n}x{n} to match the curve list")
+        n = 2 * self.surface.genus
+        form = self.form
+        if len(form) != n or any(len(row) != n for row in form):
+            raise ValueError(f"intersection form must be {n}x{n} for genus {self.surface.genus}")
+        if any(form[i][j] != -form[j][i] for i in range(n) for j in range(i, n)):
+            raise ValueError("intersection form on the basis is not antisymmetric")
+        if n and not IntMatrix.from_rows(form).is_unimodular():
+            raise ValueError("intersection form on the basis is not unimodular")
+        names = self.names
+        if len(set(names)) != len(names):
+            dup = next(name for i, name in enumerate(names) if name in names[:i])
+            raise ValueError(f"duplicate curve name {dup!r}")
+        for c in self.curves:
+            if c.homology_class is None:
+                if c.kind == NONSEPARATING:
+                    raise ValueError(f"{c.name}: nonseparating curves need a homology class")
+            elif c.kind == ARC:
+                raise ValueError(f"{c.name}: arc curves carry no homology class")
+            elif len(c.homology_class) != n:
+                raise ValueError(f"{c.name}: homology class must have length {n}")
+            elif c.kind == SEPARATING and any(c.homology_class):
+                raise ValueError(f"{c.name}: separating curves must have zero homology class")
+            elif c.kind == NONSEPARATING and not any(c.homology_class):
+                raise ValueError(f"{c.name}: nonseparating curves have nonzero homology class")
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -94,115 +119,44 @@ def torus_system() -> CurveSystem:
             Curve("A", NONSEPARATING, (1, 0)),
             Curve("B", NONSEPARATING, (0, 1)),
         ),
-        pairing=((0, 1), (-1, 0)),
+        form=((0, 1), (-1, 0)),
     )
 
 
-def _chain_form(g: int) -> list[list[int]]:
+def _chain_form(g: int) -> tuple[tuple[int, ...], ...]:
     """The intersection form of the chain basis: +1 on the superdiagonal."""
     n = 2 * g
-    form = [[0] * n for _ in range(n)]
-    for i in range(n - 1):
-        form[i][i + 1] = 1
-        form[i + 1][i] = -1
-    return form
-
-
-def class_pairings(classes: list[tuple[int, ...]], form: list[list[int]]) -> list[list[int]]:
-    """The table of pairings <x, y> = x J y^T over a list of class rows.
-
-    form is J as a list of rows.  Only the nonzero entries of each class
-    are visited: <x, y> is the sum over supp(x) of x[a] * (J y^T)[a], and
-    J y^T is one pass over the rows of J per nonzero entry of y.  For k
-    classes with s nonzero entries in all over a form of size n the
-    table costs O((n + k) * s) products.
-    """
-    supports = [[(a, v) for a, v in enumerate(c) if v] for c in classes]
-    images = [[sum(row[b] * v for b, v in supp) for row in form] for supp in supports]
-    return [[sum(v * image[a] for a, v in supp) for image in images] for supp in supports]
+    return tuple(tuple((j == i + 1) - (i == j + 1) for j in range(n)) for i in range(n))
 
 
 def chain_system(g: int) -> CurveSystem:
     """The chain c_1, ..., c_{2g+1} on a closed genus-g surface.
 
     Consecutive curves meet once; all others are disjoint.  The first
-    2g curves are the homology basis.  The class of the last curve is
-    the unique integer row orthogonal in the pairing to c_1..c_{2g-1}
-    with <c_{2g}, c_{2g+1}> = +1, which works out to
-    -(c_1 + c_3 + ... + c_{2g-1}).  The pairing table is derived from
-    the classes by class_pairings; each class has 1 or g nonzero
-    entries, so building the system costs O(g^2).
+    2g curves are the homology basis, on which the form is the chain
+    form.  The class of the last curve is the unique integer row
+    orthogonal under the form to c_1..c_{2g-1} with <c_{2g}, c_{2g+1}>
+    = +1, which works out to -(c_1 + c_3 + ... + c_{2g-1}).
     """
     if g < 1:
         raise ValueError("chain systems need genus >= 1")
-    n = 2 * g + 1
-    classes: list[tuple[int, ...]] = [
-        tuple(1 if j == i else 0 for j in range(2 * g)) for i in range(2 * g)
-    ]
+    classes = [tuple(int(j == i) for j in range(2 * g)) for i in range(2 * g)]
     classes.append(tuple(-1 if j % 2 == 0 else 0 for j in range(2 * g)))
-    curves = tuple(Curve(f"C{i + 1}", NONSEPARATING, classes[i]) for i in range(n))
-    pairing = tuple(tuple(row) for row in class_pairings(classes, _chain_form(g)))
-    return CurveSystem(Surface(g, 0), curves, pairing)
+    curves = tuple(Curve(f"C{i + 1}", NONSEPARATING, c) for i, c in enumerate(classes))
+    return CurveSystem(Surface(g, 0), curves, _chain_form(g))
 
 
 def planar_arc_system(r: int) -> CurveSystem:
     """The arc row a_1, ..., a_{r-1} on a planar surface with r boundary circles.
 
     Arc A_i joins the i-th and (i+1)-st boundary circles, so consecutive
-    arcs share an endpoint circle.  Arcs carry no homology class, so the
-    pairing is identically zero.
+    arcs share an endpoint circle.  Arcs carry no homology class, and
+    the genus-0 form is empty.
     """
     if r < 3:
         raise ValueError("planar arc systems need at least 3 boundary circles")
-    n = r - 1
-    curves = tuple(Curve(f"A{i + 1}", ARC) for i in range(n))
-    zero = tuple(tuple(0 for _ in range(n)) for _ in range(n))
-    return CurveSystem(Surface(0, r), curves, zero)
-
-
-def validate(system: CurveSystem) -> str | None:
-    """Checks all curve-system invariants.
-
-    Returns None when everything holds, otherwise a message describing
-    the first violation by curve name.
-    """
-    names = system.names
-    if len(set(names)) != len(names):
-        dup = next(n for i, n in enumerate(names) if n in names[:i])
-        return f"duplicate curve name {dup!r}"
-    width = 2 * system.surface.genus
-    for c in system.curves:
-        if c.kind == ARC:
-            if c.homology_class is not None:
-                return f"{c.name}: {c.kind} curves carry no homology class"
-        elif c.kind == SEPARATING:
-            if c.homology_class is not None and any(c.homology_class):
-                return f"{c.name}: separating curves must have zero homology class"
-            if c.homology_class is not None and len(c.homology_class) != width:
-                return f"{c.name}: homology class must have length {width}"
-        else:
-            if c.homology_class is None:
-                return f"{c.name}: nonseparating curves need a homology class"
-            if len(c.homology_class) != width:
-                return f"{c.name}: homology class must have length {width}"
-            if not any(c.homology_class):
-                return f"{c.name}: nonseparating curves have nonzero homology class"
-    classed = [c.homology_class is not None for c in system.curves]
-    n = len(system.curves)
-    for i in range(n):
-        for j in range(n):
-            p, q = system.pairing[i][j], system.pairing[j][i]
-            if p != -q:
-                return (
-                    f"pairing is not antisymmetric at ({names[i]}, {names[j]}): "
-                    f"{p} vs {q}"
-                )
-            if not (classed[i] and classed[j]) and p != 0:
-                return (
-                    f"pairing must vanish at ({names[i]}, {names[j]}): "
-                    "no algebraic intersection without homology classes"
-                )
-    return None
+    curves = tuple(Curve(f"A{i + 1}", ARC) for i in range(r - 1))
+    return CurveSystem(Surface(0, r), curves, ())
 
 
 def builtin_system(name: str) -> CurveSystem:

@@ -245,8 +245,9 @@ class TestSnf:
                 "U:\n1 0 0 0\n2 0 -1 -1\n3 0 -4 -3\n0 1 0 0\n"
                 "V:\n1 -2 2\n0 1 -2\n0 0 1\n",
             ),
+            ("0 3\n", "D:\nU:\nV:\n1 0 0\n0 1 0\n0 0 1\n"),
         ],
-        ids=["2x3", "4x3-zero-row"],
+        ids=["2x3", "4x3-zero-row", "0x3"],
     )
     def test_exact_transforms(self, capsys, tmp_path, text, expected):
         # U and V are not unique; these are the ones the elimination's

@@ -178,6 +178,8 @@ def _cmd_braid_lift(args: argparse.Namespace) -> int:
 
 def _cmd_theorem(args: argparse.Namespace) -> int:
     if args.grid is not None:
+        if args.g is not None or args.r is not None:
+            args.parser.error("--grid excludes --g and --r")
         if not args.check:
             args.parser.error("--grid requires --check")
         gmax, rmax = args.grid

@@ -57,11 +57,12 @@ def word_matrix(w: Word, rep: HomologyRep) -> IntMatrix:
     if w.system != rep.system:
         raise ValueError("word and representation use different systems")
     result = IntMatrix.identity(rep.dimension)
-    for g in w.letters:
-        curve = rep.system.curve(g.curve_name)
-        if curve.homology_class is None or not any(curve.homology_class):
+    curves = rep.system.curves
+    for index, sign in w.letters:
+        cls = curves[index].homology_class
+        if cls is None or not any(cls):
             continue
-        result = _transvection(rep, curve.homology_class, g.sign) * result
+        result = _transvection(rep, cls, sign) * result
     return result
 
 

@@ -245,24 +245,6 @@ class IntPolynomial:
     def degree(self) -> int:
         return -1 if self.is_zero else len(self.coefficients) - 1
 
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        a, b = self.coefficients, other.coefficients
-        if len(a) < len(b):
-            a, b = b, a
-        return IntPolynomial(tuple(x + y for x, y in zip(a, b + (0,) * (len(a) - len(b)))))
-
-    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return self + IntPolynomial(tuple(-c for c in other.coefficients))
-
-    def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        if self.is_zero or other.is_zero:
-            return IntPolynomial()
-        out = [0] * (len(self.coefficients) + len(other.coefficients) - 1)
-        for i, a in enumerate(self.coefficients):
-            for j, b in enumerate(other.coefficients):
-                out[i + j] += a * b
-        return IntPolynomial(tuple(out))
-
     def __divmod__(self, divisor: "IntPolynomial") -> tuple["IntPolynomial", "IntPolynomial"]:
         """Polynomial division; the divisor's leading coefficient must be +-1."""
         if divisor.is_zero:
@@ -280,25 +262,6 @@ class IntPolynomial:
                 for k, c in enumerate(divisor.coefficients):
                     rem[top - ddeg + k] -= q * c
         return IntPolynomial(tuple(quot)), IntPolynomial(tuple(rem))
-
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for exp in range(self.degree, -1, -1):
-            c = self.coefficients[exp]
-            if c == 0:
-                continue
-            if exp == 0:
-                term = str(abs(c))
-            else:
-                mag = "" if abs(c) == 1 else f"{abs(c)}*"
-                term = f"{mag}t" if exp == 1 else f"{mag}t^{exp}"
-            if not parts:
-                parts.append(term if c > 0 else f"-{term}")
-            else:
-                parts.append(f"+ {term}" if c > 0 else f"- {term}")
-        return " ".join(parts)
 
 
 def _diagonalize(rows: list[list[int]], nr: int, nc: int) -> list[int]:

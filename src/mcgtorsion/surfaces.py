@@ -107,9 +107,6 @@ class CurveSystem:
             return folded[0]
         raise ValueError(f"unknown curve {name!r}; system has {', '.join(self.names)}")
 
-    def curve(self, name: str) -> Curve:
-        return self.curves[self.index(name)]
-
 
 def torus_system() -> CurveSystem:
     """The meridian/longitude pair a, b on the closed torus."""

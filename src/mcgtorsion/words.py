@@ -1,12 +1,13 @@
 """Words in twist and half-twist generators over a curve system.
 
 The grammar is whitespace-separated letters, each a curve name with an
-optional integer exponent: "C1 C2^3 A1^-1".  A letter on a closed curve
-is a Dehn twist; a letter on an arc is a half-twist.  Words support the
-free-group calculus (reduction, inverse, conjugate, commutator) and the
-signed-count abelianization: twists on nonseparating curves survive
-modulo 12, 10, or 1 according to genus, half-twists survive modulo 2
-when the surface has at least two boundary circles.
+optional integer exponent: "C1 C2^3 A1^-1".  Parsing resolves each name
+to its index in the system's curves, so a word holds (curve index, sign)
+letters; a letter on a closed curve is a Dehn twist, a letter on an arc
+a half-twist.  Words concatenate and map to the signed-count
+abelianization: twists on nonseparating curves survive modulo 12, 10,
+or 1 according to genus, half-twists survive modulo 2 when the surface
+has at least two boundary circles.
 """
 
 from __future__ import annotations
@@ -17,52 +18,30 @@ from dataclasses import dataclass
 from .errors import ParseError
 from .surfaces import ARC, NONSEPARATING, CurveSystem
 
-TWIST = "twist"
-HALFTWIST = "halftwist"
-
 _TOKEN = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)(?:\^(-?[0-9]+))?$")
 
 
 @dataclass(frozen=True)
-class Generator:
-    """A single signed letter: a twist or half-twist along a named curve."""
-
-    curve_name: str
-    kind: str
-    sign: int
-
-    def __post_init__(self) -> None:
-        if self.kind not in (TWIST, HALFTWIST):
-            raise ValueError(f"generator kind must be twist or halftwist, got {self.kind!r}")
-        if self.sign not in (1, -1):
-            raise ValueError(f"generator sign must be +1 or -1, got {self.sign}")
-
-    def inverse(self) -> "Generator":
-        return Generator(self.curve_name, self.kind, -self.sign)
-
-    def __str__(self) -> str:
-        return self.curve_name if self.sign == 1 else f"{self.curve_name}^-1"
-
-
-@dataclass(frozen=True)
 class Word:
-    """A finite sequence of generators over one curve system.
+    """A finite sequence of letters over one curve system.
 
-    Construction checks that every letter names a curve of the system
-    and that the letter kind matches the curve: half-twists live on
-    arcs, twists on closed curves.
+    letters holds (index, sign) pairs: index points into system.curves,
+    sign is +1 or -1.  The curve's kind fixes the letter's kind: a
+    half-twist on an arc, a twist on a closed curve.
     """
 
-    letters: tuple[Generator, ...]
+    letters: tuple[tuple[int, int], ...]
     system: CurveSystem
 
     def __post_init__(self) -> None:
-        for g in self.letters:
-            curve = self.system.curve(g.curve_name)
-            if curve.kind == ARC and g.kind != HALFTWIST:
-                raise ValueError(f"{g.curve_name} is an arc and only supports half-twists")
-            if curve.kind != ARC and g.kind != TWIST:
-                raise ValueError(f"{g.curve_name} is a closed curve and only supports twists")
+        count = len(self.system.curves)
+        for pos, (index, sign) in enumerate(self.letters, start=1):
+            if not 0 <= index < count:
+                raise ValueError(
+                    f"letter {pos}: curve index {index} out of range 0..{count - 1}"
+                )
+            if sign not in (1, -1):
+                raise ValueError(f"letter {pos}: sign must be +1 or -1, got {sign}")
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -75,18 +54,20 @@ class Word:
         return Word(self.letters + other.letters, self.system)
 
     def __str__(self) -> str:
-        return " ".join(str(g) for g in self.letters)
+        names = self.system.names
+        return " ".join(
+            names[index] if sign == 1 else f"{names[index]}^-1"
+            for index, sign in self.letters
+        )
 
 
-def letter(system: CurveSystem, name: str, sign: int = 1) -> Generator:
-    """Builds the generator for a named curve, inferring twist vs half-twist.
+def letter(system: CurveSystem, name: str, sign: int = 1) -> tuple[int, int]:
+    """The (curve index, sign) letter for a named curve of the system.
 
-    The stored letter uses the curve's canonical name even when looked
-    up through the case-insensitive fallback.
+    Names resolve through CurveSystem.index, so a unique
+    case-insensitive spelling is accepted.
     """
-    curve = system.curve(name)
-    kind = HALFTWIST if curve.kind == ARC else TWIST
-    return Generator(curve.name, kind, sign)
+    return (system.index(name), sign)
 
 
 def parse_signed_letters(text: str) -> list[tuple[int, str, int]]:
@@ -122,35 +103,6 @@ def parse_word(text: str, system: CurveSystem) -> Word:
         except ValueError as exc:
             raise ParseError(f"letter {idx}: {exc}") from None
     return Word(tuple(letters), system)
-
-
-def empty_word(system: CurveSystem) -> Word:
-    return Word((), system)
-
-
-def free_reduce(w: Word) -> Word:
-    """Cancels adjacent inverse pairs until none remain."""
-    stack: list[Generator] = []
-    for g in w.letters:
-        if stack and stack[-1] == g.inverse():
-            stack.pop()
-        else:
-            stack.append(g)
-    return Word(tuple(stack), w.system)
-
-
-def inverse(w: Word) -> Word:
-    return Word(tuple(g.inverse() for g in reversed(w.letters)), w.system)
-
-
-def conjugate(w: Word, u: Word) -> Word:
-    """u * w * u^-1."""
-    return u * w * inverse(u)
-
-
-def commutator(u: Word, w: Word) -> Word:
-    """u * w * u^-1 * w^-1."""
-    return u * w * inverse(u) * inverse(w)
 
 
 @dataclass(frozen=True)
@@ -235,10 +187,11 @@ def abelian_image(w: Word, g: int, r: int) -> AbelianImage:
     hmod = halftwist_modulus(r)
     twist_sum = 0
     half_sum = 0
-    for gen in w.letters:
-        if gen.kind == TWIST:
-            if w.system.curve(gen.curve_name).kind == NONSEPARATING:
-                twist_sum += gen.sign
-        else:
-            half_sum += gen.sign
+    curves = w.system.curves
+    for index, sign in w.letters:
+        kind = curves[index].kind
+        if kind == NONSEPARATING:
+            twist_sum += sign
+        elif kind == ARC:
+            half_sum += sign
     return AbelianImage(twist_sum % tmod, tmod, half_sum % hmod, hmod)

@@ -202,4 +202,4 @@ class TestGenus2Lift:
         for _ in range(100):
             w = random_braid(rng, 6, rng.randint(0, 12))
             lifted = braid_to_genus2_word(w)
-            assert sum(g.sign for g in lifted.letters) == exponent_sum(w)
+            assert sum(sign for _, sign in lifted.letters) == exponent_sum(w)

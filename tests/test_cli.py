@@ -396,6 +396,18 @@ class TestTheorem:
         assert out == ""
         assert "--check requires --grid" in err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [("--g", "5", "--r", "3"), ("--g", "1"), ("--r", "0")],
+    )
+    def test_grid_excludes_cell_flags(self, capsys, flags):
+        with pytest.raises(SystemExit) as info:
+            main(["theorem", *flags, "--grid", "1,1", "--check"])
+        assert info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--grid excludes --g and --r" in err
+
     def test_missing_flags_is_usage_error(self, capsys):
         assert run_cli_usage_error(capsys, "theorem") == 2
 

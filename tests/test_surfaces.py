@@ -128,22 +128,23 @@ class TestTorusSystem:
         t = torus_system()
         assert t.names == ("A", "B")
         assert t.form == ((0, 1), (-1, 0))
-        assert t.curve("A").homology_class == (1, 0)
+        assert t.curves[t.index("A")].homology_class == (1, 0)
         assert first_violation(t.surface, t.curves, t.form) is None
 
     def test_case_insensitive_lookup(self):
         t = torus_system()
-        assert t.curve("a") == t.curve("A")
+        assert t.index("a") == t.index("A") == 0
         with pytest.raises(ValueError, match="unknown curve"):
-            t.curve("c")
+            t.index("c")
 
 
 class TestChainSystem:
     def test_genus_two_closure_class(self):
         cs = chain_system(2)
         assert cs.names == ("C1", "C2", "C3", "C4", "C5")
-        assert cs.curve("C5").homology_class == (-1, 0, -1, 0)
-        assert cs.curve("C5").homology_class == solve_chain_closure(2)
+        c5 = cs.curves[cs.index("C5")]
+        assert c5.homology_class == (-1, 0, -1, 0)
+        assert c5.homology_class == solve_chain_closure(2)
 
     def test_genus_one_pattern(self):
         # Three curves: C1 and C3 disjoint, both meeting C2 once.
@@ -152,7 +153,7 @@ class TestChainSystem:
         c1, c2, c3 = (c.homology_class for c in cs.curves)
         assert pairing(cs, c1, c3) == 0
         assert abs(pairing(cs, c1, c2)) == 1
-        assert cs.curve("C3").homology_class == solve_chain_closure(1)
+        assert c3 == solve_chain_closure(1)
 
     def test_consecutive_pairing_sign(self):
         cs = chain_system(3)
